@@ -205,43 +205,57 @@ def test_perf_recorder_to_grid(benchmark):
 # -- scheduling pass -----------------------------------------------------------------
 
 
-def _pass_controller(*, blocked: bool) -> Controller:
+def _pass_controller(regime: str) -> Controller:
     """A full-scale controller with 500 pending jobs.
 
-    ``blocked=True``: every node idle but an active cap rejects every
-    candidate (the drain regime during a cap window).  ``blocked=False``
-    with all nodes busy: the drained fast path (no free nodes).
-    Either way a pass starts nothing, so benchmarking it is repeatable.
+    Every regime makes a pass start nothing, so benchmarking it is
+    repeatable:
+
+    * ``"power"``: every node idle but an active cap rejects every
+      candidate (the drain regime during a cap window);
+    * ``"drained"``: all nodes busy — the drained fast path (no free
+      nodes);
+    * ``"nodes"``: all but 32 nodes busy and every candidate wider than
+      that (a full machine ahead of a planned cap window — the common
+      pass of a full-scale replay).
     """
     machine = curie_machine()
     engine = SimEngine()
     caps = []
-    if blocked:
+    if regime == "power":
         floor = machine.idle_power()
         caps = [PowercapReservation(start=0.0, end=math.inf, watts=floor + 1.0)]
+    elif regime == "nodes":
+        caps = [
+            PowercapReservation(
+                start=12 * 3600.0, end=13 * 3600.0, watts=0.5 * machine.max_power()
+            )
+        ]
     controller = Controller(machine, "DVFS", engine, powercaps=caps)
     rng = np.random.default_rng(1)
     walltime_menu = (1800.0, 14400.0, 43200.0, 86400.0)
+    min_nodes = 33 if regime == "nodes" else 1
     for jid in range(500):
         controller.submit(
             JobSpec(
                 jid,
                 0.0,
-                int(rng.integers(1, 64)) * machine.cores_per_node,
+                int(rng.integers(min_nodes, min_nodes + 63)) * machine.cores_per_node,
                 60.0,
                 float(walltime_menu[int(rng.integers(0, 4))]),
                 int(rng.integers(0, 200)),
             )
         )
-    if not blocked:
+    n_busy = {"power": 0, "drained": machine.n_nodes, "nodes": machine.n_nodes - 32}
+    if n_busy[regime]:
         controller.accountant.set_state(
-            np.arange(machine.n_nodes), NodeState.BUSY, freq_index=7
+            np.arange(n_busy[regime]), NodeState.BUSY, freq_index=7
         )
     return controller
 
 
 def test_perf_sched_pass_power_blocked(benchmark):
-    controller = _pass_controller(blocked=True)
+    controller = _pass_controller("power")
 
     def one_pass():
         controller._sched_pass()
@@ -252,7 +266,19 @@ def test_perf_sched_pass_power_blocked(benchmark):
 
 def test_perf_sched_pass_drained(benchmark):
     """No idle nodes: the pass must cost O(1), not O(n_nodes + queue)."""
-    controller = _pass_controller(blocked=False)
+    controller = _pass_controller("drained")
+
+    def one_pass():
+        controller._sched_pass()
+        return controller.n_running
+
+    assert benchmark(one_pass) == 0
+
+
+def test_perf_sched_pass_node_blocked(benchmark):
+    """Free nodes but every candidate wider than them: no candidate may
+    reach the frequency decision."""
+    controller = _pass_controller("nodes")
 
     def one_pass():
         controller._sched_pass()

@@ -26,8 +26,9 @@ deliver their full savings; every other node idles.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cluster.power import PowerAccountant
 from repro.core.policies import Policy
@@ -100,6 +101,19 @@ class PowercapView:
             for w in self.windows:
                 if end > w.start:
                     w.base += delta
+
+    def for_pass(self, now: float) -> "PowercapView":
+        """A copy of this view for a later pass at ``now``.
+
+        Valid while the view's inputs are unchanged: the running jobs,
+        the active cap, the future windows and the shutdown
+        reservations.  The windows are copied, since :meth:`note_start`
+        mutates their bases.
+        """
+        view = copy.copy(self)
+        view.now = now
+        view.windows = [replace(w) for w in self.windows]
+        return view
 
     @property
     def cap_is_active(self) -> bool:

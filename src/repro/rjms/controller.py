@@ -12,7 +12,9 @@ queue, the reservations, and the two-phase powercap algorithm:
 
 Scheduling passes implement SLURM's pipeline: multifactor priority
 ordering, FCFS until the first blocked job, then EASY backfilling
-bounded by ``backfill_depth``.
+bounded by ``backfill_depth``.  As in the paper, the online phase runs
+at allocation time: a candidate that cannot get its nodes in the pass
+is rejected before its frequency is decided.
 """
 
 from __future__ import annotations
@@ -161,6 +163,11 @@ class Controller:
         self._running_version = 0
         self._snapshot_version = -1
         self._running_snapshot: list[tuple[float, int]] = []
+        #: last pass's power-constraint view and the inputs it was built
+        #: from (see _pass_view); policies that ignore caps see none
+        self._no_caps = ReservationRegistry(0)
+        self._view: PowercapView | None = None
+        self._view_key: tuple | None = None
 
         if self.policy.enforces_caps:
             for cap in powercaps:
@@ -486,8 +493,6 @@ class Controller:
 
         free_ids = self._free_idle_ids()
         if free_ids.size == 0:
-            if not self.config.backfill:
-                return
             # Nothing can start (every allocation needs >= 1 node) and
             # a pass mutates nothing else — except that the priority
             # ordering it would have computed advances the fair-share
@@ -498,33 +503,44 @@ class Controller:
         pending_sds = self._pending_shutdowns(now)
         alloc = _PassAllocator(free_ids, self._reserved_mask)
 
-        view = PowercapView(
-            self.registry, self.accountant, now, self.running.values()
-        ) if self.policy.enforces_caps else PowercapView(
-            ReservationRegistry(0), self.accountant, now, ()
+        ids, n_nodes, walltime = self.queue.order(
+            now, limit=self.config.backfill_depth, columns=True
         )
+        # Free node counts only fall within a pass, so a candidate that
+        # cannot get its nodes now never can in this pass: too wide for
+        # the free set, or certain to overlap a pending shutdown (its
+        # expected end is at least now + walltime, as degradation >= 1)
+        # and too wide for the clear nodes.  Such a candidate is never
+        # handed to the frequency decision.
+        dead = n_nodes > alloc.free_total
+        if pending_sds and alloc.free_clear < alloc.free_total:
+            first_sd = min(sd.start for sd in pending_sds)
+            dead |= (n_nodes > alloc.free_clear) & (now + walltime > first_sd)
+        # A dead candidate still matters once: the first of them becomes
+        # the EASY blocker if no live candidate blocked before it.
+        visit = ~dead
+        if not visit.all():
+            visit[int(np.argmax(dead))] = True
 
-        order = self.queue.order(now, limit=self.config.backfill_depth)
+        view: PowercapView | None = None
         window: BackfillWindow | None = None
-        tested = 0
         #: per-pass memo of frequency decisions keyed by the decision's
         #: full input (n_nodes, walltime); the view only changes when a
-        #: job starts, which clears the memo (walltimes cluster on the
-        #: default limit and the queue-menu grains, so blocked passes
-        #: collapse to a handful of distinct ladder walks)
+        #: job starts, which clears the memo
         decide_cache: dict[tuple[int, float], object] = {}
-        for jid in order:
-            if tested >= self.config.backfill_depth:
-                break
-            tested += 1
-            job = self.queue.job(int(jid))
-            started = self._try_start(
-                job, now, view, alloc, pending_sds, window, decide_cache
-            )
+        for i in np.flatnonzero(visit).tolist():
+            started = False
+            if not dead[i]:
+                if view is None:
+                    view = self._pass_view(now)
+                job = self.queue.job(int(ids[i]))
+                started = self._try_start(
+                    job, now, view, alloc, pending_sds, window, decide_cache
+                )
             if not started and window is None:
                 # This is the blocker: compute its EASY reservation.
                 window = easy_backfill_window(
-                    job.n_nodes,
+                    int(n_nodes[i]),
                     alloc.free_total,
                     self._running_snapshot_sorted(),
                     now,
@@ -537,6 +553,30 @@ class Controller:
                 # candidates could only be tested and rejected.
                 break
 
+    def _pass_view(self, now: float) -> PowercapView:
+        """The power constraints for a pass at ``now``.
+
+        Building a view costs O(running jobs x future windows), so it is
+        rebuilt only when one of its inputs changed: the running set,
+        the node states, the active cap, the future windows or the
+        shutdown reservations.  Each pass gets its own copy, since
+        starting a job mutates the view.
+        """
+        registry = self.registry if self.policy.enforces_caps else self._no_caps
+        key = (
+            self._running_version,
+            self.accountant.version,
+            registry.cap_at(now),
+            tuple(id(cap) for cap in registry.future_caps(now)),
+            len(registry.shutdowns),
+        )
+        if key != self._view_key:
+            self._view = PowercapView(
+                registry, self.accountant, now, self.running.values()
+            )
+            self._view_key = key
+        return self._view.for_pass(now)
+
     def _try_start(
         self,
         job: Job,
@@ -545,18 +585,17 @@ class Controller:
         alloc: _PassAllocator,
         pending_sds: list[ShutdownReservation],
         window: BackfillWindow | None,
-        decide_cache: dict[tuple[int, float], object] | None = None,
+        decide_cache: dict[tuple[int, float], object],
     ) -> bool:
         # Online phase: frequency decision (Algorithm 2).  The decision
         # is a pure function of (n_nodes, walltime) and the pass view,
         # so identical candidates reuse the memoised result until a
         # start changes the view.
         key = (job.n_nodes, job.spec.walltime)
-        decision = decide_cache.get(key) if decide_cache is not None else None
+        decision = decide_cache.get(key)
         if decision is None:
             decision = self.freq_selector.decide(job.n_nodes, job.spec.walltime, view)
-            if decide_cache is not None:
-                decide_cache[key] = decision
+            decide_cache[key] = decision
         if not decision.ok:
             return False
         expected_end = now + job.spec.walltime * decision.degradation
@@ -571,8 +610,7 @@ class Controller:
             return False
         self._start_job(job, nodes, decision, now)
         view.note_start(job.n_nodes, decision.freq_index, expected_end)
-        if decide_cache is not None:
-            decide_cache.clear()
+        decide_cache.clear()
         return True
 
     def _start_job(self, job, nodes: np.ndarray, decision, now: float) -> None:

@@ -487,6 +487,7 @@ def install_fork_state(
     sctl._free_version = -1
     sctl._mask_key = None
     sctl._snapshot_version = -1
+    sctl._view_key = None
 
     # -- metrics prefix ------------------------------------------------------
     n = meta["rec_n"]

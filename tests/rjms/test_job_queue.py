@@ -167,6 +167,25 @@ class TestPendingQueue:
     def test_empty_order(self):
         q, _ = self.make_queue()
         assert q.order(0.0).size == 0
+        ids, n_nodes, walltime = q.order(0.0, columns=True)
+        assert ids.size == n_nodes.size == walltime.size == 0
+
+    def test_columns_survive_swap_remove_and_growth(self):
+        q, _ = self.make_queue(PriorityWeights(age=1000, fairshare=0, job_size=0))
+        jobs = {
+            jid: mkjob(jid, submit=float(jid), cores=1 + 7 * jid, walltime=60.0 + jid)
+            for jid in range(600)  # grows past the initial capacity
+        }
+        for job in jobs.values():
+            q.add(job)
+        for jid in (0, 5, 599, 300):
+            q.remove(jid)
+            del jobs[jid]
+        for limit in (None, 10):
+            ids, n_nodes, walltime = q.order(1e6, limit=limit, columns=True)
+            assert list(ids) == list(q.order(1e6, limit=limit))
+            assert list(n_nodes) == [jobs[int(j)].n_nodes for j in ids]
+            assert list(walltime) == [jobs[int(j)].spec.walltime for j in ids]
 
     def test_jobs_in_order_returns_jobs(self):
         q, _ = self.make_queue()
